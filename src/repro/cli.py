@@ -409,10 +409,11 @@ def cmd_serve_sim(args, out=print) -> int:
         max_edges=args.batch_edges,
         max_delay_s=None if args.deadline_ms is None
         else args.deadline_ms / 1e3)
-    # Cost-model backends report timing independent of functional state;
-    # skip the (never-read) per-shard functional inference entirely.
-    backend_kwargs = {"functional": False} \
-        if args.backend in ("cpu-32t", "gpu") else None
+    # Modeled backends price a batch from its shape, never from vertex
+    # state: skip the (never-read) per-shard functional inference.  Only
+    # the measured backends time the kernels, so only they run them.
+    backend_kwargs = None if args.backend in ("software", "measured") \
+        else {"functional": False}
     if args.backend == "measured" and args.topology != "sharded":
         out(f"error: --backend measured requires --topology sharded "
             f"(the worker pool pins one real kernel runtime per shard; "

@@ -96,6 +96,21 @@ class NeighborTable:
                 eids: np.ndarray, times: np.ndarray) -> None:
         if len(vertices) == 0:
             return
+        ordered = np.sort(vertices)
+        if (ordered[1:] == ordered[:-1]).any():
+            self._insert_grouped(vertices, partners, eids, times)
+            return
+        # No vertex repeats: each insertion takes its vertex's head slot.
+        slots = self._head[vertices]
+        self._nbrs[vertices, slots] = partners
+        self._eids[vertices, slots] = eids
+        self._times[vertices, slots] = times
+        self._head[vertices] = (slots + 1) % self.mr
+        self._count[vertices] = np.minimum(self._count[vertices] + 1, self.mr)
+
+    def _insert_grouped(self, vertices: np.ndarray, partners: np.ndarray,
+                        eids: np.ndarray, times: np.ndarray) -> None:
+        """General insertion: any vertex may repeat within the batch."""
         # Group insertions by vertex, preserving arrival order inside groups.
         order = np.argsort(vertices, kind="stable")
         v_sorted = vertices[order]
@@ -132,34 +147,23 @@ class NeighborTable:
         k = self.mr if k is None else int(k)
         if not 0 < k <= self.mr:
             raise ValueError(f"k must be in [1, {self.mr}]")
-        nbrs = self._nbrs[vertices]
-        eids = self._eids[vertices]
-        times = self._times[vertices].copy()
-        valid = times > -np.inf
-        # Sort ascending; invalid slots (-inf) land first, so flip the key to
-        # push them last: use +inf for invalid, then take the earliest k of
-        # the most recent k... Simpler: sort descending by time (invalid
-        # last), truncate to k most recent, then reverse to ascending.
-        desc = np.argsort(-times, axis=1, kind="stable")
+        times = self._times[vertices]
+        # Slot order: sort descending by time (invalid -inf slots last),
+        # truncate to the k most recent, then reverse to ascending.
+        slot = np.argsort(-times, axis=1, kind="stable")[:, :k][:, ::-1]
         rows = np.arange(len(vertices))[:, None]
-        nbrs = nbrs[rows, desc][:, :k][:, ::-1]
-        eids = eids[rows, desc][:, :k][:, ::-1]
-        times = times[rows, desc][:, :k][:, ::-1]
-        mask = valid[rows, desc][:, :k][:, ::-1]
         # Shift valid entries to the front (ascending order, mask suffix).
         # After the flip, invalid entries sit at the *front*; roll each row
         # left by its number of invalid slots.
-        n_invalid = (~mask).sum(axis=1)
+        n_invalid = k - (times[rows, slot] > -np.inf).sum(axis=1)
         if n_invalid.any():
             cols = (np.arange(k)[None, :] + n_invalid[:, None]) % k
-            nbrs = nbrs[rows, cols]
-            eids = eids[rows, cols]
-            times = times[rows, cols]
-            mask = mask[rows, cols]
-        return GatheredNeighbors(np.ascontiguousarray(nbrs),
-                                 np.ascontiguousarray(eids),
-                                 np.ascontiguousarray(times),
-                                 np.ascontiguousarray(mask))
+            slot = slot[rows, cols]
+        # One gather per table through the composed slot order.
+        v = vertices[:, None]
+        times = self._times[v, slot]
+        return GatheredNeighbors(self._nbrs[v, slot], self._eids[v, slot],
+                                 times, times > -np.inf)
 
     def degree(self, vertices: np.ndarray | None = None) -> np.ndarray:
         """Number of valid stored neighbors per vertex (<= mr)."""

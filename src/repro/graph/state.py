@@ -54,27 +54,28 @@ class VertexState:
                 self.mail_time[v], self.last_update[v])
 
     def write_memory(self, vertices: np.ndarray, values: np.ndarray,
-                     t: np.ndarray) -> None:
+                     t: np.ndarray, unique: bool = False) -> None:
         """Commit updated memory rows and their update timestamps.
 
         When a vertex appears multiple times in ``vertices`` the **last**
         write wins — the same semantics the hardware Updater enforces by
         invalidating stale cache lines (Section IV-B).  NumPy fancy
         assignment applies duplicates in order, so we deduplicate explicitly
-        to keep the guarantee independent of NumPy internals.
+        to keep the guarantee independent of NumPy internals.  A caller
+        whose ``vertices`` hold no repeats passes ``unique=True`` to skip
+        the deduplication.
         """
-        v = np.asarray(vertices, dtype=np.int64)
-        last = _last_occurrence(v)
-        self.memory[v[last]] = values[last]
-        self.last_update[v[last]] = np.asarray(t, dtype=np.float64)[last]
+        _scatter_last(vertices, (self.memory, values),
+                      (self.last_update, t), unique=unique)
 
     def write_mail(self, vertices: np.ndarray, messages: np.ndarray,
-                   t: np.ndarray) -> None:
-        """Cache raw messages (Most-Recent aggregator: last write wins)."""
-        v = np.asarray(vertices, dtype=np.int64)
-        last = _last_occurrence(v)
-        self.mailbox[v[last]] = messages[last]
-        self.mail_time[v[last]] = np.asarray(t, dtype=np.float64)[last]
+                   t: np.ndarray, unique: bool = False) -> None:
+        """Cache raw messages (Most-Recent aggregator: last write wins).
+
+        ``unique`` has the meaning it has in :meth:`write_memory`.
+        """
+        _scatter_last(vertices, (self.mailbox, messages),
+                      (self.mail_time, t), unique=unique)
 
     # ------------------------------------------------------------------ #
     def snapshot(self) -> dict[str, np.ndarray]:
@@ -102,6 +103,15 @@ class VertexState:
     def memory_words(self) -> int:
         """External-memory footprint in words (for the resource model)."""
         return self.num_nodes * (self.memory_dim + self.raw_message_dim + 2)
+
+
+def _scatter_last(vertices, *pairs, unique: bool) -> None:
+    """``table[v] = rows`` for each ``(table, rows)`` pair, last write wins."""
+    v = np.asarray(vertices, dtype=np.int64)
+    last = slice(None) if unique else _last_occurrence(v)
+    v = v[last]
+    for table, rows in pairs:
+        table[v] = np.asarray(rows, dtype=np.float64)[last]
 
 
 def _last_occurrence(v: np.ndarray) -> np.ndarray:

@@ -73,9 +73,7 @@ class MemoryUpdateUnit:
     def functional(model: TGNN, raw_messages: np.ndarray, dt: np.ndarray,
                    memory: np.ndarray) -> np.ndarray:
         """Reference GRU computation (delegates to the shared kernel)."""
-        if model._premul_cache is not None and model.cfg.lut_time_encoder:
-            return model._gru_lut_np(raw_messages, dt, memory)
-        return model.memory_updater.forward_numpy(raw_messages, dt, memory)
+        return model._gru_np(raw_messages, dt, memory)
 
 
 def _ceil(a: int, b: int) -> int:

@@ -170,9 +170,9 @@ class SimplifiedTemporalAttention(Module):
 def _masked_softmax_np(logits: np.ndarray, mask: np.ndarray) -> np.ndarray:
     """NumPy twin of functional.masked_softmax (all-masked rows -> zeros)."""
     neg = np.where(mask, logits, -np.inf)
-    mx = np.max(neg, axis=-1, keepdims=True)
+    mx = neg.max(axis=-1, keepdims=True)
     mx = np.where(np.isfinite(mx), mx, 0.0)
-    e = np.exp(np.where(mask, logits - mx, -np.inf))
-    e = np.where(mask, e, 0.0)
+    # Masked slots stay -inf (``mx`` is finite), and exp(-inf) is 0.
+    e = np.exp(neg - mx)
     denom = e.sum(axis=-1, keepdims=True)
     return e / np.where(denom == 0.0, 1.0, denom)

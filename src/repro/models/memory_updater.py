@@ -52,16 +52,10 @@ class GRUMemoryUpdater(Module):
 
     # ------------------------------------------------------------------ #
     def forward_numpy(self, raw_messages: np.ndarray, dt: np.ndarray,
-                      memory: np.ndarray,
-                      time_features: np.ndarray | None = None) -> np.ndarray:
-        """Graph-free inference path, bit-compatible with :meth:`forward`.
-
-        ``time_features`` lets a caller supply pre-computed (e.g. LUT)
-        encodings; otherwise the shared encoder is invoked.
-        """
-        if time_features is None:
-            time_features = self.time_encoder.encode_numpy(
-                np.asarray(dt, dtype=np.float64))
+                      memory: np.ndarray) -> np.ndarray:
+        """Graph-free inference path, bit-compatible with :meth:`forward`."""
+        time_features = self.time_encoder.encode_numpy(
+            np.asarray(dt, dtype=np.float64))
         m = np.concatenate([raw_messages, time_features], axis=1)
         gi = m @ self.gru.weight_ih.data.T + self.gru.bias_ih.data
         return self._gates(gi, memory)
@@ -116,11 +110,9 @@ class RNNMemoryUpdater(Module):
         return (m @ self.w_ih.T + s @ self.w_hh.T + self.bias).tanh()
 
     def forward_numpy(self, raw_messages: np.ndarray, dt: np.ndarray,
-                      memory: np.ndarray,
-                      time_features: np.ndarray | None = None) -> np.ndarray:
-        if time_features is None:
-            time_features = self.time_encoder.encode_numpy(
-                np.asarray(dt, dtype=np.float64))
+                      memory: np.ndarray) -> np.ndarray:
+        time_features = self.time_encoder.encode_numpy(
+            np.asarray(dt, dtype=np.float64))
         m = np.concatenate([raw_messages, time_features], axis=1)
         return np.tanh(m @ self.w_ih.data.T + memory @ self.w_hh.data.T
                        + self.bias.data)
@@ -141,4 +133,5 @@ def _sigmoid(x: np.ndarray) -> np.ndarray:
     """Stable logistic matching Tensor.sigmoid exactly."""
     ax = np.abs(x)
     e = np.exp(-ax)
-    return np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+    d = 1.0 + e
+    return np.where(x >= 0, 1.0 / d, e / d)

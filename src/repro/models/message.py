@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["build_raw_messages"]
+__all__ = ["build_raw_messages", "interleaved_raw_messages"]
 
 
 def build_raw_messages(mem_src: np.ndarray, mem_dst: np.ndarray,
@@ -42,3 +42,25 @@ def build_raw_messages(mem_src: np.ndarray, mem_dst: np.ndarray,
     msg_src = np.concatenate([mem_src, mem_dst, edge_feat], axis=1)
     msg_dst = np.concatenate([mem_dst, mem_src, edge_feat], axis=1)
     return np.ascontiguousarray(msg_src), np.ascontiguousarray(msg_dst)
+
+
+def interleaved_raw_messages(endpoint_mem: np.ndarray,
+                             edge_feat: np.ndarray) -> np.ndarray:
+    """Both raw messages of every edge, assembled in place, endpoint order.
+
+    ``endpoint_mem`` is ``(2B, d_mem)``: the updated memory of each
+    endpoint in interleaved ``(src, dst)`` order.  Row ``2i`` of the
+    ``(2B, 2*d_mem + d_ef)`` result is ``msg_src[i]`` and row ``2i + 1``
+    is ``msg_dst[i]`` of :func:`build_raw_messages` — the layout the
+    mailbox write takes — without the intermediate per-direction arrays.
+    """
+    n, d = endpoint_mem.shape
+    if len(edge_feat) * 2 != n:
+        raise ValueError("edge_feat batch size mismatch")
+    out = np.empty((n, 2 * d + edge_feat.shape[1]))
+    out[:, :d] = endpoint_mem
+    out[0::2, d:2 * d] = endpoint_mem[1::2]
+    out[1::2, d:2 * d] = endpoint_mem[0::2]
+    out[0::2, 2 * d:] = edge_feat
+    out[1::2, 2 * d:] = edge_feat
+    return out

@@ -32,7 +32,7 @@ from .attention import (DT_SCALE, SimplifiedTemporalAttention,
                         VanillaTemporalAttention)
 from .config import ModelConfig
 from .memory_updater import GRUMemoryUpdater, RNNMemoryUpdater
-from .message import build_raw_messages
+from .message import interleaved_raw_messages
 from .tgn import BatchResult, ModelRuntime, TGNN
 from .time_encoding import CosineTimeEncoder, LUTTimeEncoder
 
@@ -140,7 +140,6 @@ class MultiLayerTGNN(Module):
                       graph: TemporalGraph,
                       neg_dst: np.ndarray | None = None) -> BatchResult:
         """Algorithm 1 with an L-layer GNN stage."""
-        cfg = self.cfg
         nodes = batch.nodes
         t_nodes = np.repeat(batch.t, 2)
         uniq, inverse = np.unique(nodes, return_inverse=True)
@@ -152,14 +151,8 @@ class MultiLayerTGNN(Module):
         updated = Tensor.where(has_mail[:, None], gru_out, Tensor(mem))
         rt.state.write_memory(uniq, updated.data,
                               np.where(has_mail, mail_t, last))
-        mem_src = updated.data[inverse[0::2]]
-        mem_dst = updated.data[inverse[1::2]]
-        msg_src, msg_dst = build_raw_messages(mem_src, mem_dst,
-                                              batch.edge_feat)
-        msgs = np.empty((len(nodes), cfg.raw_message_dim))
-        msgs[0::2] = msg_src
-        msgs[1::2] = msg_dst
-        rt.state.write_mail(nodes, msgs, t_nodes)
+        rt.state.write_mail(nodes, interleaved_raw_messages(
+            updated.data[inverse], batch.edge_feat), t_nodes)
 
         # Gradient flows through the batch vertices' updated memory at
         # layer 0 via the override map (neighbors outside the batch read

@@ -42,21 +42,22 @@ def top_k_mask(logits: np.ndarray, mask: np.ndarray, budget: int) -> np.ndarray:
     # argpartition picks the top-`budget` per row in O(k).
     top_idx = np.argpartition(-keyed, budget - 1, axis=1)[:, :budget]
     out = np.zeros_like(mask)
-    np.put_along_axis(out, top_idx, True, axis=1)
+    out[np.arange(n)[:, None], top_idx] = True
     return out & mask
 
 
-def select_pruned(logits: np.ndarray, mask: np.ndarray, budget: int
+def select_pruned(keep: np.ndarray, budget: int
                   ) -> tuple[np.ndarray, np.ndarray]:
-    """Compact top-``budget`` selection for the gather-then-compute path.
+    """Compact a :func:`top_k_mask` selection for gather-then-compute.
 
-    Returns ``(indices, sel_mask)`` where ``indices`` has shape
-    ``(n, budget)`` giving the chosen slot per row (padded with slot 0 where
-    a row has fewer valid neighbors) and ``sel_mask`` flags real selections.
-    The fast inference path gathers neighbor data through ``indices`` so the
+    ``keep`` is ``top_k_mask(logits, mask, budget)``; the caller computes
+    it once and also reports it as the full-width selection.  Returns
+    ``(indices, sel_mask)`` where ``indices`` has shape ``(n, budget)``
+    giving the chosen slot per row (padded with slot 0 where a row has
+    fewer valid neighbors) and ``sel_mask`` flags real selections.  The
+    fast inference path gathers neighbor data through ``indices`` so the
     value computation runs on ``budget`` columns instead of ``k``.
     """
-    keep = top_k_mask(logits, mask, budget)
     n, k = keep.shape
     budget = min(budget, k)
     # Order selected slots by ascending slot index to preserve the

@@ -49,8 +49,8 @@ from .attention import (DT_SCALE, AttentionOutput, SimplifiedTemporalAttention,
                         VanillaTemporalAttention, _masked_softmax_np)
 from .config import ModelConfig
 from .memory_updater import GRUMemoryUpdater, RNNMemoryUpdater
-from .message import build_raw_messages
-from .pruning import select_pruned
+from .message import interleaved_raw_messages
+from .pruning import select_pruned, top_k_mask
 from .time_encoding import CosineTimeEncoder, LUTTimeEncoder
 
 __all__ = ["TGNN", "ModelRuntime", "BatchResult", "MemoryUpdate",
@@ -223,44 +223,52 @@ class TGNN(Module):
     # ------------------------------------------------------------------ #
     def _refresh_mail(self, rt: ModelRuntime, batch: EdgeBatch,
                       nodes: np.ndarray, t_nodes: np.ndarray,
-                      inverse: np.ndarray, updated: np.ndarray) -> None:
-        """Refresh cached messages with the new signals (last write wins)."""
-        mem_src = updated[inverse[0::2]]
-        mem_dst = updated[inverse[1::2]]
-        msg_src, msg_dst = build_raw_messages(mem_src, mem_dst,
-                                              batch.edge_feat)
-        msgs = np.empty((len(nodes), self.cfg.raw_message_dim))
-        msgs[0::2] = msg_src
-        msgs[1::2] = msg_dst
-        rt.state.write_mail(nodes, msgs, t_nodes)
+                      own: np.ndarray, unique: bool) -> None:
+        """Refresh cached messages with the new signals (last write wins).
+
+        ``own`` is each endpoint's updated memory row, in ``nodes`` order;
+        ``unique`` says no vertex repeats among ``nodes``.
+        """
+        rt.state.write_mail(nodes,
+                            interleaved_raw_messages(own, batch.edge_feat),
+                            t_nodes, unique=unique)
 
     def _update_memory_np(self, batch: EdgeBatch, rt: ModelRuntime
-                          ) -> tuple[np.ndarray, np.ndarray, np.ndarray,
-                                     np.ndarray]:
-        """Algorithm 1 lines 3-8 (numpy): returns (nodes, t_nodes, inverse,
-        updated).
+                          ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Algorithm 1 lines 3-8 (numpy): returns ``(nodes, t_nodes,
+        own)``, ``own`` being each endpoint's post-GRU memory row.
 
-        ``updated`` holds the post-GRU memory for the batch's unique
-        vertices; state (memory + mailbox) is committed as a side effect.
+        State (memory + mailbox) is committed as a side effect.
         """
         nodes, t_nodes, uniq, inverse = _assemble_endpoints(batch)
         mem, mail, mail_t, last = rt.state.read(uniq)
         has_mail = mail_t > -np.inf
-        updated = mem.copy()
-        if has_mail.any():
-            idx = np.nonzero(has_mail)[0]
-            dt = np.maximum(mail_t[idx] - last[idx], 0.0)
-            tf = self._gru_time_features_np(dt)
-            updated[idx] = self.memory_updater.forward_numpy(
-                mail[idx], dt, mem[idx], time_features=tf)
-            rt.state.write_memory(uniq[idx], updated[idx], mail_t[idx])
-        self._refresh_mail(rt, batch, nodes, t_nodes, inverse, updated)
-        return nodes, t_nodes, inverse, updated
+        if has_mail.all():
+            # Every vertex consumes mail: no row gathers or scatters.
+            updated = self._gru_np(mail, np.maximum(mail_t - last, 0.0), mem)
+            rt.state.write_memory(uniq, updated, mail_t, unique=True)
+        else:
+            updated = mem.copy()
+            if has_mail.any():
+                idx = np.nonzero(has_mail)[0]
+                dt = np.maximum(mail_t[idx] - last[idx], 0.0)
+                updated[idx] = self._gru_np(mail[idx], dt, mem[idx])
+                rt.state.write_memory(uniq[idx], updated[idx], mail_t[idx],
+                                      unique=True)
+        own = updated[inverse]
+        self._refresh_mail(rt, batch, nodes, t_nodes, own,
+                           unique=len(uniq) == len(nodes))
+        return nodes, t_nodes, own
 
-    def _gru_time_features_np(self, dt: np.ndarray) -> np.ndarray:
-        """Time features for the GRU input (LUT premultiplication is applied
-        downstream inside forward_numpy's matmul; here we return Phi)."""
-        return self.time_encoder.encode_numpy(dt)
+    def _gru_np(self, raw: np.ndarray, dt: np.ndarray,
+                memory: np.ndarray) -> np.ndarray:
+        """Updater step; after :meth:`prepare_inference` on a LUT model,
+        ``W[:, time] @ Phi(dt)`` is one premultiplied-table read."""
+        cache = self._premul_cache
+        if cache is None:
+            return self.memory_updater.forward_numpy(raw, dt, memory)
+        return self.memory_updater.forward_numpy_premul(
+            raw, self.time_encoder.bin_index(dt), cache["updt"], memory)
 
     # ------------------------------------------------------------------ #
     # training path (autograd)                                            #
@@ -284,8 +292,9 @@ class TGNN(Module):
         updated = Tensor.where(has_mail[:, None], gru_out, Tensor(mem))
         # Commit detached state before the GNN reads neighbor memory.
         commit_t = np.where(has_mail, mail_t, last)
-        rt.state.write_memory(uniq, updated.data, commit_t)
-        self._refresh_mail(rt, batch, nodes, t_nodes, inverse, updated.data)
+        rt.state.write_memory(uniq, updated.data, commit_t, unique=True)
+        self._refresh_mail(rt, batch, nodes, t_nodes, updated.data[inverse],
+                           unique=len(uniq) == len(nodes))
         return MemoryUpdate(nodes=nodes, t_nodes=t_nodes, inverse=inverse,
                             updated=updated)
 
@@ -400,8 +409,7 @@ class TGNN(Module):
 
         # memory: mailbox consumption + GRU (Table I "memory" part).
         t0 = tic()
-        nodes, t_nodes, inverse, updated = \
-            self._update_memory_np_timed(batch, rt)
+        nodes, t_nodes, self_feat = self._update_memory_np(batch, rt)
         t1 = tic()
 
         # sample: neighbor-table fetch (Table I "sample" part).
@@ -409,8 +417,8 @@ class TGNN(Module):
         t2 = tic()
 
         # gnn: attention + transform (Table I "GNN" part).
-        emb, attn_logits, sel = self._gnn_numpy(nodes, t_nodes, g, updated,
-                                                inverse, rt, graph)
+        emb, attn_logits, sel = self._gnn_numpy(nodes, t_nodes, g, self_feat,
+                                                rt, graph)
         t3 = tic()
 
         # update: neighbor-table append (memory/mail writes were already
@@ -429,39 +437,11 @@ class TGNN(Module):
         return BatchResult(nodes=nodes, embeddings=Tensor(emb),
                            attention=attn, dt_scaled=None)
 
-    def _update_memory_np_timed(self, batch, rt):
-        """Wrapper so LUT premultiplication applies inside the GRU path."""
-        cache = self._premul_cache
-        if cache is None:
-            return self._update_memory_np(batch, rt)
-        # LUT fast path: time contribution to the input gates is a lookup.
-        nodes, t_nodes, uniq, inverse = _assemble_endpoints(batch)
-        mem, mail, mail_t, last = rt.state.read(uniq)
-        has_mail = mail_t > -np.inf
-        updated = mem.copy()
-        if has_mail.any():
-            idx = np.nonzero(has_mail)[0]
-            dt = np.maximum(mail_t[idx] - last[idx], 0.0)
-            updated[idx] = self.memory_updater.forward_numpy_premul(
-                mail[idx], self.time_encoder.bin_index(dt),
-                cache["updt"], mem[idx])
-            rt.state.write_memory(uniq[idx], updated[idx], mail_t[idx])
-        self._refresh_mail(rt, batch, nodes, t_nodes, inverse, updated)
-        return nodes, t_nodes, inverse, updated
-
-    def _gru_lut_np(self, raw: np.ndarray, dt: np.ndarray,
-                    memory: np.ndarray) -> np.ndarray:
-        """Updater step where ``W[:, time] @ Phi(dt)`` is one LUT read."""
-        return self.memory_updater.forward_numpy_premul(
-            raw, self.time_encoder.bin_index(dt),
-            self._premul_cache["updt"], memory)
-
-    def _gnn_numpy(self, nodes, t_nodes, g, updated, inverse, rt, graph):
+    def _gnn_numpy(self, nodes, t_nodes, g, self_feat, rt, graph):
         """Embedding computation with gather-then-compute pruning."""
         cfg = self.cfg
         dt_nbr = np.maximum(t_nodes[:, None] - g.times, 0.0)
         dt_nbr = np.where(g.mask, dt_nbr, 0.0)
-        self_feat = updated[inverse]
         if self.node_proj is not None:
             self_feat = self_feat + (graph.node_feat[nodes]
                                      @ self.node_proj.weight.data.T
@@ -469,9 +449,10 @@ class TGNN(Module):
 
         if isinstance(self.attention, SimplifiedTemporalAttention):
             logits = self.attention.logits_numpy(dt_nbr * DT_SCALE)
+            selected = g.mask
             if cfg.pruning_budget is not None:
-                idx, sel_mask = select_pruned(logits, g.mask,
-                                              cfg.pruning_budget)
+                selected = top_k_mask(logits, g.mask, cfg.pruning_budget)
+                idx, sel_mask = select_pruned(selected, cfg.pruning_budget)
                 rows = np.arange(len(nodes))[:, None]
                 nbrs = g.nbrs[rows, idx]
                 eids = g.eids[rows, idx]
@@ -503,8 +484,7 @@ class TGNN(Module):
                 time_enc = self.time_encoder.encode_numpy(sel_dt)
                 hidden = self.attention.forward_numpy(
                     nbr_feat, e_feat, time_enc, sel_logits, sel_mask)
-            full_logits, selected = logits, _expand_selection(
-                g.mask, cfg.pruning_budget, logits)
+            full_logits = logits
         else:
             nbr_feat = rt.state.memory[g.nbrs]
             if self.node_proj is not None:
@@ -522,12 +502,3 @@ class TGNN(Module):
         emb = out @ self.out_transform.weight.data.T + self.out_transform.bias.data
         np.maximum(emb, 0.0, out=emb)
         return emb, full_logits, selected
-
-
-def _expand_selection(mask: np.ndarray, budget: int | None,
-                      logits: np.ndarray) -> np.ndarray:
-    """Full-width selected-mask for reporting (mirrors top_k_mask)."""
-    if budget is None:
-        return mask
-    from .pruning import top_k_mask
-    return top_k_mask(logits, mask, budget)

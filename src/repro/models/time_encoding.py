@@ -110,7 +110,7 @@ class LUTTimeEncoder(Module):
         """Map Δt values to bin ids in ``[0, n_bins)`` (vectorised)."""
         dt = np.asarray(dt, dtype=np.float64)
         idx = np.searchsorted(self.edges, dt, side="right") - 1
-        return np.clip(idx, 0, self.n_bins - 1)
+        return np.minimum(np.maximum(idx, 0), self.n_bins - 1)
 
     def forward(self, dt: Tensor | np.ndarray) -> Tensor:
         """Differentiable lookup: gradient scatters into the hit entries."""

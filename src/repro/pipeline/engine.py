@@ -99,17 +99,26 @@ class SoftwareBackend:
 
 
 class SimulatedFPGABackend:
-    """Accelerator-simulator backend; each batch starts from idle."""
+    """Accelerator-simulator backend; each batch starts from idle.
 
-    def __init__(self, accelerator: FPGAAccelerator, graph: TemporalGraph):
+    ``functional=False`` skips the kernels and only prices the batches
+    (the latency is the same either way; see
+    :meth:`~repro.hw.FPGAAccelerator.run_stream`).
+    """
+
+    def __init__(self, accelerator: FPGAAccelerator, graph: TemporalGraph,
+                 functional: bool = True):
         self.acc = accelerator
         self.graph = graph
-        self.rt = accelerator.model.new_runtime(graph)
+        self.functional = functional
+        self.rt = accelerator.model.new_runtime(graph) if functional \
+            else None
         self.name = f"fpga-{accelerator.hw.platform.name}"
 
     def process_batch(self, batch: EdgeBatch) -> float:
         report = self.acc.run_stream(self.graph, batch_size=len(batch),
-                                     rt=self.rt, batches=[batch])
+                                     rt=self.rt, batches=[batch],
+                                     functional=self.functional)
         return report.batch_latencies_s[0]
 
 

@@ -252,16 +252,21 @@ class ServingReport:
         return json.dumps(self.to_dict(), sort_keys=True, indent=2)
 
     def to_structure_json(self) -> str:
-        """Canonical JSON with every float nulled out.
+        """Canonical JSON with every float and every per-shard
+        ``max_queue_depth`` nulled out.
 
         Measured-backend runs are deterministic in *structure* (which
         windows were served, how work was split, every counter) but not
-        in timing values — those are real wall-clock measurements.  This
-        projection is the byte-comparable form: two runs of the same
-        workload agree on it exactly, whatever the host was doing.
+        in timing values — those are real wall-clock measurements.  A
+        shard's queue depth is an integer, but it follows those timings
+        too, so it is nulled with them (the key stays).  This projection
+        is the byte-comparable form: two runs of the same workload agree
+        on it exactly, whatever the host was doing.
         """
-        return json.dumps(_null_floats(self.to_dict()), sort_keys=True,
-                          indent=2)
+        d = _null_floats(self.to_dict())
+        for stats in d["shard_stats"]:
+            stats["max_queue_depth"] = None
+        return json.dumps(d, sort_keys=True, indent=2)
 
 
 def make_stream_arrivals(graph: TemporalGraph, window_s: float,

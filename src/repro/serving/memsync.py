@@ -142,12 +142,14 @@ class VersionedMemoryCache:
     def note_reads(self, shard: int, vertices: np.ndarray) -> ReadOutcome:
         """Account one shard's read-set; returns the rows it must pull.
 
-        Under ``none`` stale reads are only counted; under ``invalidate``
-        and ``push`` every stale row is pulled from its owner and the
-        mirror stamped current — the caller is responsible for actually
-        transferring the returned ``pulled`` rows before using them.
+        ``vertices`` is the read-set, sorted and unique (callers already
+        hold it as an ``np.unique``).  Under ``none`` stale reads are only
+        counted; under ``invalidate`` and ``push`` every stale row is
+        pulled from its owner and the mirror stamped current — the caller
+        is responsible for actually transferring the returned ``pulled``
+        rows before using them.
         """
-        v = np.unique(np.asarray(vertices, dtype=np.int64))
+        v = np.asarray(vertices, dtype=np.int64)
         v = v[~self._holder[shard, v]]       # holders are never stale
         if not len(v):
             return ReadOutcome()
@@ -168,30 +170,33 @@ class VersionedMemoryCache:
                     present_shards) -> dict[int, np.ndarray]:
         """Account one batch's owner writes; returns push deliveries.
 
-        ``vertices`` is the batch's (unique) endpoint set; every one of
-        them is written exactly once by the batch.  Holders observe the
+        ``vertices`` is the batch's endpoint set, sorted and unique like
+        :meth:`note_reads`' read-set; every one of them is written
+        exactly once by the batch.  Holders observe the
         event and stay current.  Under ``push`` the updated rows are
         forwarded to mirror holders among ``present_shards`` (the shards
         receiving this job's mail) — the returned ``{shard: vertices}``
         deliveries the caller must apply.  Absent mirrors simply lag and
         repair through the pull fallback on their next read.
         """
-        v = np.unique(np.asarray(vertices, dtype=np.int64))
+        v = np.asarray(vertices, dtype=np.int64)
         if not len(v):
             return {}
         self.version[v] += 1
+        version = self.version[v]
         held = self._holder[:, v]                        # (S, |v|)
-        self.mirror_version[:, v] = np.where(
-            held, self.version[v][None, :], self.mirror_version[:, v])
+        stamps = np.where(held, version, self.mirror_version[:, v])
         pushes: dict[int, np.ndarray] = {}
         if self.policy == "push":
-            for shard in present_shards:
-                tgt = v[self._mirror[shard, v] & ~self._holder[shard, v]
-                        & (self.mirror_version[shard, v] < self.version[v])]
-                if len(tgt):
-                    self.mirror_version[shard, tgt] = self.version[tgt]
-                    self.pushed_rows += len(tgt)
-                    pushes[shard] = tgt
+            present = np.zeros(self.num_shards, dtype=bool)
+            present[list(present_shards)] = True
+            due = (self._mirror[:, v] & ~held & (stamps < version)
+                   & present[:, None])
+            stamps = np.where(due, version, stamps)
+            self.pushed_rows += int(due.sum())
+            pushes = {shard: v[due[shard]] for shard in
+                      np.flatnonzero(due.any(axis=1)).tolist()}
+        self.mirror_version[:, v] = stamps
         return pushes
 
     def transfer_ownership(self, vertices, from_shards, to_shard: int,

@@ -13,9 +13,11 @@ Built-in names
 --------------
 ``software``            measured single-thread NumPy inference
 ``u200`` / ``zcu104``   simulated FPGA accelerator on that platform
-``cpu-32t`` / ``gpu``   calibrated GPP cost models (timing modeled; pass
-                        ``functional=False`` to skip the functional state
-                        advance when only timing matters)
+``cpu-32t`` / ``gpu``   calibrated GPP cost models
+                        (all four are modeled: timing is priced from the
+                        batch shape, so pass ``functional=False`` to skip
+                        the functional state advance when only timing
+                        matters)
 ``measured``            real kernels on the event core: service times are
                         wall-clock measurements of the numpy
                         ``update_memory``/``embed`` kernels, executed by
@@ -85,11 +87,12 @@ def _software(model, graph, **_):
 
 
 def _fpga_factory(design_name: str):
-    def factory(model, graph, **_):
+    def factory(model, graph, functional: bool = True, **_):
         from ..hw import U200_DESIGN, ZCU104_DESIGN, FPGAAccelerator
         from ..pipeline.engine import SimulatedFPGABackend
         design = {"u200": U200_DESIGN, "zcu104": ZCU104_DESIGN}[design_name]
-        return SimulatedFPGABackend(FPGAAccelerator(model, design), graph)
+        return SimulatedFPGABackend(FPGAAccelerator(model, design), graph,
+                                    functional=functional)
     return factory
 
 

@@ -40,7 +40,7 @@ memory rows.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -267,35 +267,43 @@ class ShardRouter:
         replay, actually transfers) those rows; ``split`` itself never
         touches vertex state.
         """
-        s_src = self.assignment[batch.src]
+        src, dst = batch.src, batch.dst
+        s_src = self.assignment[src]
+        # (num_shards, B) routing matrices, one row per shard.
+        local = s_src == np.arange(self.num_shards)[:, None]
+        held = self._member[:, src] | self._member[:, dst]
+        mail = held & ~local
+        sel = local | held
+        shards = np.flatnonzero(sel.any(axis=1)).tolist()
+        local_edges = local.sum(axis=1).tolist()
+        if cache is not None:
+            # One sort of the job's endpoints serves every shard's
+            # read-set (its touched rows, still sorted and unique) and the
+            # write-set; reads run first, against the pre-batch versions.
+            uniq, inverse = np.unique(batch.nodes, return_inverse=True)
+            touched = np.zeros((self.num_shards, len(uniq)), dtype=bool)
+            rows, edges = np.nonzero(sel)
+            touched[rows, inverse[0::2][edges]] = True
+            touched[rows, inverse[1::2][edges]] = True
+            reads = [cache.note_reads(shard, uniq[touched[shard]])
+                     for shard in shards]
+            pushes = cache.note_writes(uniq, shards)
         out: list[ShardBatch] = []
-        for shard in range(self.num_shards):
-            local = s_src == shard
-            held = self._member[shard, batch.src] \
-                | self._member[shard, batch.dst]
-            mail = held & ~local
-            sel = local | mail
-            if not sel.any():
-                continue
-            sub = EdgeBatch(src=batch.src[sel], dst=batch.dst[sel],
-                            t=batch.t[sel], eid=batch.eid[sel],
-                            edge_feat=batch.edge_feat[sel])
-            mail_from = s_src[mail]
+        for i, shard in enumerate(shards):
+            take = sel[shard]
+            mail_from = s_src[mail[shard]]
             if mailbox is not None and len(mail_from):
                 mailbox.record(mail_from, shard)
-            out.append(ShardBatch(shard=shard, batch=sub,
-                                  local_edges=int(local.sum()),
-                                  mail_edges=int(mail.sum()),
-                                  mail_from=mail_from))
-        if cache is None:
-            return out
-        reads = {sb.shard: cache.note_reads(sb.shard,
-                                            np.unique(sb.batch.nodes))
-                 for sb in out}
-        pushes = cache.note_writes(np.unique(batch.nodes),
-                                   [sb.shard for sb in out])
-        return [replace(sb, sync_pull=reads[sb.shard].pulled,
-                        sync_push=pushes.get(sb.shard, _NO_ROWS),
-                        stale_reads=reads[sb.shard].stale_reads,
-                        version_lag=reads[sb.shard].max_lag)
-                for sb in out]
+            sync: dict = {} if cache is None else dict(
+                sync_pull=reads[i].pulled,
+                sync_push=pushes.get(shard, _NO_ROWS),
+                stale_reads=reads[i].stale_reads,
+                version_lag=reads[i].max_lag)
+            out.append(ShardBatch(
+                shard=shard,
+                batch=EdgeBatch(src=src[take], dst=dst[take],
+                                t=batch.t[take], eid=batch.eid[take],
+                                edge_feat=batch.edge_feat[take]),
+                local_edges=local_edges[shard],
+                mail_edges=len(mail_from), mail_from=mail_from, **sync))
+        return out

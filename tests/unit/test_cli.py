@@ -259,7 +259,11 @@ class TestServeSimGolden:
     bit-for-bit.  Later goldens pin the PR that introduced their feature —
     ``serve_sim_rebalance_online.json`` freezes the online-rebalancing
     migration accounting (migration count, handoff rows, post-migration
-    queueing statistics) so future PRs cannot silently change it."""
+    queueing statistics) so future PRs cannot silently change it.
+    ``serve_sim_zcu104_push.json`` pins modeled FPGA serving (accelerator
+    pricing, die-crossing mail hops, push memsync) at a loaded operating
+    point; it was generated while the FPGA backends still ran the kernels,
+    so it also proves that timing-only serving prices identically."""
 
     GOLDEN_DIR = os.path.join(os.path.dirname(os.path.dirname(
         os.path.dirname(os.path.abspath(__file__)))), "tests", "golden")
@@ -281,6 +285,8 @@ class TestServeSimGolden:
             "--memsync", "push", "--placement", "replicate",
             "--speedup", "2000", "--fail-at", "300", "--fail-shard", "1",
             "--recover-at", "700"],
+        "serve_sim_zcu104_push.json": [
+            "--backend", "zcu104", "--memsync", "push", "--speedup", "2e8"],
     }
 
     @pytest.mark.parametrize("golden,extra", sorted(CASES.items()))

@@ -95,6 +95,16 @@ class TestVersionedMemoryCache:
         assert c.note_reads(1, np.array([0])).pulled.tolist() == [0]
         assert c.pushed_rows == 1 and c.pulled_rows == 2
 
+    def test_push_delivers_each_written_row_once(self):
+        c = VersionedMemoryCache(two_shard_placement(), policy="push")
+        c.note_writes(np.array([0, 1]), present_shards=[0])
+        # Shard 1 pulls both rows and so becomes a mirror of each.
+        assert c.note_reads(1, np.array([0, 1])).pulled.tolist() == [0, 1]
+        pushes = c.note_writes(np.array([0, 1, 2]), present_shards=[0, 1])
+        assert list(pushes) == [1] and pushes[1].tolist() == [0, 1]
+        assert c.pushed_rows == 2 and c.pulled_rows == 2
+        assert not len(c.note_reads(1, np.array([0, 1])).pulled)
+
     def test_push_never_targets_holders(self):
         heat_n = 6
         p = Placement(assignment=np.array([0, 0, 1, 1, 0, 1]), num_shards=2,

@@ -189,7 +189,7 @@ class TestSimplifiedAttention:
         with no_grad():
             out = attn(q, nbr, ef, te, tz, mask, dt_scaled=dt)
         logits = attn.logits_numpy(dt)
-        idx, selm = select_pruned(logits, mask, 2)
+        idx, selm = select_pruned(top_k_mask(logits, mask, 2), 2)
         rows = np.arange(4)[:, None]
         h = attn.forward_numpy(nbr.data[rows, idx], ef[rows, idx],
                                te.data[rows, idx], logits[rows, idx], selm)
@@ -229,14 +229,14 @@ class TestPruning:
     def test_select_pruned_preserves_time_order(self):
         logits = np.array([[5.0, 1.0, 4.0, 3.0]])
         mask = np.ones((1, 4), dtype=bool)
-        idx, selm = select_pruned(logits, mask, 2)
+        idx, selm = select_pruned(top_k_mask(logits, mask, 2), 2)
         assert np.array_equal(idx[0], [0, 2])  # ascending slot order
         assert selm.all()
 
     def test_select_pruned_pads_short_rows(self):
         logits = np.array([[1.0, 2.0, 3.0]])
         mask = np.array([[True, False, False]])
-        idx, selm = select_pruned(logits, mask, 2)
+        idx, selm = select_pruned(top_k_mask(logits, mask, 2), 2)
         assert selm[0, 0] and not selm[0, 1]
 
     def test_invalid_budget(self):
