@@ -32,6 +32,9 @@ class VertexState:
         is *not* part of the cached payload).
     """
 
+    # The per-vertex arrays, in snapshot order.
+    ROWS = ("memory", "mailbox", "mail_time", "last_update")
+
     def __init__(self, num_nodes: int, memory_dim: int, raw_message_dim: int):
         self.num_nodes = int(num_nodes)
         self.memory_dim = int(memory_dim)
@@ -52,6 +55,11 @@ class VertexState:
         v = np.asarray(vertices, dtype=np.int64)
         return (self.memory[v], self.mailbox[v],
                 self.mail_time[v], self.last_update[v])
+
+    def copy_rows(self, other: "VertexState", vertices) -> None:
+        """Overwrite ``vertices``' rows with ``other``'s (a state handoff)."""
+        for name in self.ROWS:
+            getattr(self, name)[vertices] = getattr(other, name)[vertices]
 
     def write_memory(self, vertices: np.ndarray, values: np.ndarray,
                      t: np.ndarray, unique: bool = False) -> None:
@@ -80,18 +88,11 @@ class VertexState:
     # ------------------------------------------------------------------ #
     def snapshot(self) -> dict[str, np.ndarray]:
         """Deep copy of all state (epoch boundaries, val/test forks)."""
-        return {
-            "memory": self.memory.copy(),
-            "mailbox": self.mailbox.copy(),
-            "mail_time": self.mail_time.copy(),
-            "last_update": self.last_update.copy(),
-        }
+        return {name: getattr(self, name).copy() for name in self.ROWS}
 
     def restore(self, snap: dict[str, np.ndarray]) -> None:
-        self.memory[...] = snap["memory"]
-        self.mailbox[...] = snap["mailbox"]
-        self.mail_time[...] = snap["mail_time"]
-        self.last_update[...] = snap["last_update"]
+        for name in self.ROWS:
+            getattr(self, name)[...] = snap[name]
 
     def reset(self) -> None:
         """Zero all state (start of an epoch over the stream)."""

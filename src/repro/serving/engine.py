@@ -71,7 +71,7 @@ from .memsync import MEMSYNC_POLICIES, VersionedMemoryCache
 from .placement import HotColdHybrid, Placement, VertexHeat
 from .rebalance import HANDOFF_ROWS_PER_VERTEX
 from .registry import DEFAULT_REGISTRY, BackendRegistry
-from .router import CrossShardMailbox, ShardRouter
+from .router import ShardRouter
 
 __all__ = ["ShardStats", "ServingReport", "ServingEngine",
            "FailureInjector", "make_stream_arrivals"]
@@ -398,15 +398,10 @@ class FailureInjector:
         shard with a current copy per the coherence cache, else the
         lowest survivor (the durable-log replay still costs a transfer).
         """
-        if self._cache is not None:
-            cache = self._cache
-            current = (cache.mirror_version[:, vertex]
-                       == cache.version[vertex]) \
-                & (cache._holder[:, vertex] | cache._mirror[:, vertex])
-            current[dead] = False
-            hit = np.flatnonzero(current)
-            if len(hit):
-                return int(hit[0])
+        peer = None if self._cache is None \
+            else self._cache.current_peer(vertex, dead)
+        if peer is not None:
+            return peer
         return min(s for s in range(len(self._groups)) if s != dead)
 
     def _on_fail(self, ev: FailureEvent) -> None:
@@ -1109,8 +1104,6 @@ class ServingEngine:
                         ingest: str, rebal=None, chaos=None,
                         measured: dict | None = None,
                         auto=None) -> ServingReport:
-        mailbox = CrossShardMailbox(self.num_shards)
-
         # Resolve drops globally first: a window is dropped if *any*
         # shard's queue rejected its sub-job, and a dropped window's
         # surviving sub-jobs must not inflate the traffic report even
@@ -1138,13 +1131,7 @@ class ServingEngine:
                 shard_traffic[shard, 0] += sb.local_edges
                 shard_traffic[shard, 1] += sb.mail_edges
                 cross_die_mail += hops
-                if sb.mail_edges:
-                    mailbox.record(sb.mail_from, shard)
-                for rows in (sb.sync_pull, sb.sync_push):
-                    if len(rows):
-                        mailbox.record_sync(self.router.assignment[rows],
-                                            shard)
-                        sync_edges += len(rows)
+                sync_edges += len(sb.sync_pull) + len(sb.sync_push)
                 stale_reads += sb.stale_reads
                 max_version_lag = max(max_version_lag, sb.version_lag)
 
@@ -1215,7 +1202,7 @@ class ServingEngine:
             makespan_s=makespan,
             ingested_edges=ingested,
             processed_edges=int(shard_traffic.sum()),
-            cross_shard_edges=mailbox.total_edges,
+            cross_shard_edges=int(shard_traffic[:, 1].sum()),
             cross_die_mail_edges=cross_die_mail,
             shard_stats=stats,
             topology=self.topology,

@@ -163,10 +163,11 @@ Actors
     topology), recording mail and sync traffic at the event times it
     actually occurs.
 
-The mailbox (:class:`~repro.serving.router.CrossShardMailbox`) and memsync
-cache (:class:`~repro.serving.memsync.VersionedMemoryCache`) plug into the
-routing callback — they are driven in flush order, which the scheduler
-guarantees is release order.
+The memsync cache (:class:`~repro.serving.memsync.VersionedMemoryCache`)
+plugs into the routing callback through ``ShardRouter.split``, one pass per
+job, in flush order — which the scheduler guarantees is release order.
+Mail and sync traffic is priced from each sub-job's
+:class:`~repro.serving.router.ShardBatch`; no mailbox ledger is kept.
 """
 
 from __future__ import annotations

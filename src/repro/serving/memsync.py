@@ -75,39 +75,37 @@ sync traffic (``ServingReport.sync_edges`` / ``stale_reads`` /
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 import numpy as np
 
 from ..graph.temporal_graph import EdgeBatch
 from .placement import Placement
-from .router import CrossShardMailbox, ShardRouter
+from .router import _NO_READS, CrossShardMailbox, ReadOutcome, ShardRouter
 
 __all__ = ["MEMSYNC_POLICIES", "ReadOutcome", "VersionedMemoryCache",
            "ShardedRuntime"]
 
 MEMSYNC_POLICIES = ("none", "invalidate", "push")
 
-_EMPTY = np.empty(0, dtype=np.int64)
 
-
-@dataclass(frozen=True)
-class ReadOutcome:
-    """What one shard's read-set cost under the cache's policy."""
-
-    pulled: np.ndarray = field(default_factory=lambda: _EMPTY)
-    stale_reads: int = 0        # reads served from a stale mirror (none)
-    max_lag: int = 0            # largest version lag among those reads
+def _by_row(values, rows: np.ndarray, num_rows: int) -> list:
+    """Split ``values`` (one per ``rows`` entry, rows ascending) into one
+    slice per row."""
+    out, lo = [], 0
+    for n in np.bincount(rows, minlength=num_rows).tolist():
+        out.append(values[lo:lo + n])
+        lo += n
+    return out
 
 
 class VersionedMemoryCache:
     """Per-vertex version counters + per-shard mirror stamps.
 
-    Pure accounting: callers drive :meth:`note_reads` /
-    :meth:`note_writes` in stream order and act on the returned pull/push
-    vertex sets (the engine prices them; :class:`ShardedRuntime` actually
-    copies the rows).  The matrices are ``(num_shards, num_nodes)`` — fine
-    at simulation scale; a deployment would keep per-shard sparse maps.
+    Pure accounting, one pass per job: ``ShardRouter.split`` calls
+    :meth:`note_reads` once for all shards' reads, then
+    :meth:`note_writes`; callers act on the returned pull/push vertex sets
+    (the engine prices them; :class:`ShardedRuntime` actually copies the
+    rows).  The matrices are ``(num_shards, num_nodes)`` — fine at
+    simulation scale; a deployment would keep per-shard sparse maps.
     """
 
     def __init__(self, placement: Placement, policy: str = "none"):
@@ -120,6 +118,8 @@ class VersionedMemoryCache:
         self.num_shards = placement.num_shards
         self._holder = placement.holder_matrix()
         n = placement.num_nodes
+        # Flat index of each shard's row, for (shard, vertex) cells.
+        self._row_base = np.arange(self.num_shards) * n
         # Owner-side truth: one bump per batch the vertex appears in.
         self.version = np.zeros(n, dtype=np.int64)
         # Version each shard's copy of each row reflects.
@@ -139,65 +139,88 @@ class VersionedMemoryCache:
         return self.pulled_rows + self.pushed_rows
 
     # ------------------------------------------------------------------ #
-    def note_reads(self, shard: int, vertices: np.ndarray) -> ReadOutcome:
-        """Account one shard's read-set; returns the rows it must pull.
+    def note_reads(self, shards, vertices: np.ndarray,
+                   mask: np.ndarray | None = None) -> list[ReadOutcome]:
+        """Account the read-sets of ``shards`` in one pass; returns one
+        :class:`ReadOutcome` per shard, with the rows it must pull.
 
-        ``vertices`` is the read-set, sorted and unique (callers already
-        hold it as an ``np.unique``).  Under ``none`` stale reads are only
-        counted; under ``invalidate`` and ``push`` every stale row is
-        pulled from its owner and the mirror stamped current — the caller
-        is responsible for actually transferring the returned ``pulled``
-        rows before using them.
+        ``vertices`` is the union of the read-sets, sorted and unique;
+        row ``i`` of the ``(len(shards), len(vertices))`` bool ``mask``
+        marks the ones ``shards[i]`` reads (no mask: it reads them all).
+        Under ``none`` stale reads are only counted; under ``invalidate``
+        and ``push`` every stale row is pulled from its owner and the
+        mirror stamped current — the caller is responsible for actually
+        transferring the ``pulled`` rows before using them.
         """
         v = np.asarray(vertices, dtype=np.int64)
-        v = v[~self._holder[shard, v]]       # holders are never stale
-        if not len(v):
-            return ReadOutcome()
-        lag = self.version[v] - self.mirror_version[shard, v]
-        stale = v[lag > 0]
+        # Flat (shard, vertex) cells: one 1-D gather per matrix.
+        cells = self._row_base[shards][:, None] + v
+        version = self.version[v]
+        lag = version - self.mirror_version.ravel()[cells]
+        stale = (lag > 0) & ~self._holder.ravel()[cells]  # holders never are
+        if mask is not None:
+            stale &= mask
+        rows, cols = stale.nonzero()        # row-major: grouped by shard
         if self.policy == "none":
-            max_lag = int(lag.max(initial=0))
-            self.stale_reads += len(stale)
-            self.max_version_lag = max(self.max_version_lag, max_lag)
-            return ReadOutcome(stale_reads=len(stale),
-                               max_lag=max_lag if len(stale) else 0)
-        self.mirror_version[shard, stale] = self.version[stale]
-        self._mirror[shard, stale] = True
-        self.pulled_rows += len(stale)
-        return ReadOutcome(pulled=stale)
+            lags = lag[rows, cols].tolist()
+            self.stale_reads += len(lags)
+            self.max_version_lag = max(self.max_version_lag, *lags, 0)
+            return [ReadOutcome(stale_reads=len(x), max_lag=max(x))
+                    if x else _NO_READS
+                    for x in _by_row(lags, rows, len(cells))]
+        hit = cells[rows, cols]
+        self.mirror_version.ravel()[hit] = version[cols]
+        self._mirror.ravel()[hit] = True
+        self.pulled_rows += len(hit)
+        return [ReadOutcome(pulled=x) if len(x) else _NO_READS
+                for x in _by_row(v[cols], rows, len(cells))]
 
     def note_writes(self, vertices: np.ndarray,
                     present_shards) -> dict[int, np.ndarray]:
         """Account one batch's owner writes; returns push deliveries.
 
         ``vertices`` is the batch's endpoint set, sorted and unique like
-        :meth:`note_reads`' read-set; every one of them is written
-        exactly once by the batch.  Holders observe the
-        event and stay current.  Under ``push`` the updated rows are
-        forwarded to mirror holders among ``present_shards`` (the shards
-        receiving this job's mail) — the returned ``{shard: vertices}``
-        deliveries the caller must apply.  Absent mirrors simply lag and
-        repair through the pull fallback on their next read.
+        :meth:`note_reads`' vertex set; each is written exactly once by
+        the batch.  Holders observe the event and stay current.  Under
+        ``push`` the updated rows are forwarded to mirror holders among
+        ``present_shards`` (the shards receiving this job's mail) — the
+        returned ``{shard: vertices}`` deliveries the caller must apply.
+        Absent mirrors lag and repair through the pull fallback.
         """
         v = np.asarray(vertices, dtype=np.int64)
-        if not len(v):
-            return {}
-        self.version[v] += 1
-        version = self.version[v]
-        held = self._holder[:, v]                        # (S, |v|)
-        stamps = np.where(held, version, self.mirror_version[:, v])
+        version = self.version[v] + 1
+        self.version[v] = version
+        cells = self._row_base[:, None] + v              # (S, |v|)
+        fresh = self._holder.ravel()[cells]
         pushes: dict[int, np.ndarray] = {}
         if self.policy == "push":
-            present = np.zeros(self.num_shards, dtype=bool)
+            # No stamp exceeds the version it copied, so after the bump
+            # every present mirror lags and takes the push.
+            present = np.zeros((self.num_shards, 1), dtype=bool)
             present[list(present_shards)] = True
-            due = (self._mirror[:, v] & ~held & (stamps < version)
-                   & present[:, None])
-            stamps = np.where(due, version, stamps)
-            self.pushed_rows += int(due.sum())
-            pushes = {shard: v[due[shard]] for shard in
-                      np.flatnonzero(due.any(axis=1)).tolist()}
-        self.mirror_version[:, v] = stamps
+            due = self._mirror.ravel()[cells] & present & ~fresh
+            rows, cols = due.nonzero()
+            self.pushed_rows += len(cols)
+            pushes = {shard: x for shard, x in enumerate(
+                _by_row(v[cols], rows, self.num_shards)) if len(x)}
+            fresh |= due
+        stamps = self.mirror_version.ravel()
+        stamps[cells] = np.where(fresh, version, stamps[cells])
         return pushes
+
+    def current_peer(self, vertex: int, dead: int) -> int | None:
+        """Lowest shard but ``dead`` holding a *current* copy of ``vertex``.
+
+        Holders are always current; mirrors qualify when their stamp
+        matches the owner version — under ``push`` every shard that
+        participated in the vertex's last batch does, because it pulled
+        the pre-batch rows and computed (or received) the same update.
+        """
+        current = (self.mirror_version[:, vertex] == self.version[vertex]) \
+            & (self._holder[:, vertex] | self._mirror[:, vertex])
+        current[dead] = False
+        hit = np.flatnonzero(current)
+        return int(hit[0]) if len(hit) else None
 
     def transfer_ownership(self, vertices, from_shards, to_shard: int,
                            keep_holder=False) -> None:
@@ -340,12 +363,8 @@ class ShardedRuntime:
         self.mailbox.record_sync(owners, to_shard)
         dst = self.runtimes[to_shard].state
         for owner in np.unique(owners):
-            rows = vertices[owners == owner]
-            src = self.runtimes[owner].state
-            dst.memory[rows] = src.memory[rows]
-            dst.mailbox[rows] = src.mailbox[rows]
-            dst.mail_time[rows] = src.mail_time[rows]
-            dst.last_update[rows] = src.last_update[rows]
+            dst.copy_rows(self.runtimes[owner].state,
+                          vertices[owners == owner])
 
     def migrate(self, vertices, to_shard: int) -> int:
         """Move ownership of ``vertices`` to ``to_shard`` between batches,
@@ -398,10 +417,7 @@ transfer_ownership` stamps the new owner current and downgrades the old
             rows = v[owners == owner]
             src_state = self.runtimes[owner].state
             src_table = self.runtimes[owner].sampler.table
-            dst_state.memory[rows] = src_state.memory[rows]
-            dst_state.mailbox[rows] = src_state.mailbox[rows]
-            dst_state.mail_time[rows] = src_state.mail_time[rows]
-            dst_state.last_update[rows] = src_state.last_update[rows]
+            dst_state.copy_rows(src_state, rows)
             dst_table._nbrs[rows] = src_table._nbrs[rows]
             dst_table._eids[rows] = src_table._eids[rows]
             dst_table._times[rows] = src_table._times[rows]
@@ -415,21 +431,6 @@ transfer_ownership` stamps the new owner current and downgrades the old
         return len(v)
 
     # ------------------------------------------------------------------ #
-    def _current_peer(self, vertex: int, dead: int) -> int | None:
-        """Lowest surviving shard holding a *current* copy of ``vertex``.
-
-        Holders are always current; mirrors qualify when their stamp
-        matches the owner version — under ``push`` every shard that
-        participated in the vertex's last batch does, because it pulled
-        the pre-batch rows and computed (or received) the same update.
-        """
-        current = (self.cache.mirror_version[:, vertex]
-                   == self.cache.version[vertex]) \
-            & (self.cache._holder[:, vertex] | self.cache._mirror[:, vertex])
-        current[dead] = False
-        hit = np.flatnonzero(current)
-        return int(hit[0]) if len(hit) else None
-
     def _replay_rings(self, vertices: np.ndarray) -> None:
         """Rebuild lost FIFO rings by replaying the durable edge log.
 
@@ -479,10 +480,11 @@ fail_over`: replicated vertices *promote* a surviving replica (a full
         holder, so its memory rows and FIFO ring are already exact and no
         state moves), unreplicated vertices get a surviving owner and are
         *rebuilt* — the vertex-state row copied from the lowest surviving
-        shard with a current copy (see :meth:`_current_peer`), the FIFO
-        ring replayed bit-exactly from the durable edge log (see
-        :meth:`_replay_rings`), ``HANDOFF_ROWS_PER_VERTEX`` rows per
-        vertex recorded in the mailbox like any other transfer.  Vertices
+        shard with a current copy (see
+        :meth:`VersionedMemoryCache.current_peer`), the FIFO ring replayed
+        bit-exactly from the durable edge log (see :meth:`_replay_rings`),
+        ``HANDOFF_ROWS_PER_VERTEX`` rows per vertex recorded in the
+        mailbox like any other transfer.  Vertices
         with a write history but no surviving current copy are counted
         ``cold``: their ring is rebuilt but their memory rows restart from
         zero — genuinely lost data, which the exactness suite pins to zero
@@ -503,7 +505,7 @@ fail_over`: replicated vertices *promote* a surviving replica (a full
         for x in rebuilt.tolist():
             new_owner = int(self.router.assignment[x])
             dst = self.runtimes[new_owner].state
-            peer = self._current_peer(x, shard)
+            peer = self.cache.current_peer(x, shard)
             if peer is None:
                 # No surviving current copy: fresh-vertex rows are exactly
                 # this (version 0); written vertices are honestly cold.
@@ -514,11 +516,7 @@ fail_over`: replicated vertices *promote* a surviving replica (a full
                 dst.mail_time[x] = -np.inf
                 dst.last_update[x] = 0.0
             else:
-                src = self.runtimes[peer].state
-                dst.memory[x] = src.memory[x]
-                dst.mailbox[x] = src.mailbox[x]
-                dst.mail_time[x] = src.mail_time[x]
-                dst.last_update[x] = src.last_update[x]
+                dst.copy_rows(self.runtimes[peer].state, x)
                 self.mailbox.record_sync(
                     np.repeat(peer, HANDOFF_ROWS_PER_VERTEX), new_owner)
                 rows += HANDOFF_ROWS_PER_VERTEX
@@ -576,7 +574,8 @@ fail_over`: replicated vertices *promote* a surviving replica (a full
         for sb in subs:
             g = self.runtimes[sb.shard].sampler.gather(sb.batch.nodes, k)
             gathers[sb.shard] = g
-            out = self.cache.note_reads(sb.shard, np.unique(g.nbrs[g.mask]))
+            out, = self.cache.note_reads([sb.shard],
+                                         np.unique(g.nbrs[g.mask]))
             self._transfer(out.pulled, sb.shard)
         return {sb.shard: self.model.embed(
             sb.batch, self.runtimes[sb.shard], self.graph,

@@ -23,19 +23,15 @@ neighbor state: a shard's neighbor-table rows for the vertices it *holds*
 by the serving and placement tests).
 
 Vertex *memory* rows of non-held endpoints are governed by a separate,
-pluggable sync policy (:mod:`repro.serving.memsync`).  The mail can carry
-memory-row updates and invalidations alongside the edges: pass a
+pluggable sync policy (:mod:`repro.serving.memsync`): pass a
 :class:`~repro.serving.memsync.VersionedMemoryCache` to :meth:`split` and
 each :class:`ShardBatch` reports the rows the shard must pull before
 processing (``sync_pull``), the owner-pushed rows riding in with its mail
-(``sync_push``), and the staleness it tolerated (``stale_reads`` /
-``version_lag``).  Policy space: ``none`` keeps PR 1's stale mirrors (and
-measures the staleness), ``invalidate`` pulls fresh rows on demand, and
-``push`` eagerly forwards owner writes — under the sync policies a holder's
-memory rows are exact, not stale mirrors (the bit-identity tests in
-``test_memsync``).  The :class:`CrossShardMailbox` prices both kinds of
-traffic: ``counts`` for forwarded edges, ``sync_counts`` for transferred
-memory rows.
+(``sync_push``), and the staleness the ``none`` policy tolerated
+(``stale_reads`` / ``version_lag``).  The serving engine prices those
+fields per served sub-job; a :class:`CrossShardMailbox` passed to
+:meth:`split` keeps the ledger of the functional replay
+(:class:`~repro.serving.memsync.ShardedRuntime`).
 """
 
 from __future__ import annotations
@@ -47,10 +43,22 @@ import numpy as np
 from ..graph.temporal_graph import EdgeBatch
 from .placement import Placement, hash_assignment
 
-__all__ = ["ShardBatch", "CrossShardMailbox", "ShardRouter"]
+__all__ = ["ShardBatch", "ReadOutcome", "CrossShardMailbox", "ShardRouter"]
 
 
 _NO_ROWS = np.empty(0, dtype=np.int64)
+
+
+@dataclass(frozen=True)
+class ReadOutcome:
+    """What one shard's read-set cost under the memsync cache's policy."""
+
+    pulled: np.ndarray = field(default_factory=lambda: _NO_ROWS)
+    stale_reads: int = 0        # reads served from a stale mirror (none)
+    max_lag: int = 0            # largest version lag among those reads
+
+
+_NO_READS = ReadOutcome()
 
 
 @dataclass(frozen=True)
@@ -93,10 +101,10 @@ class CrossShardMailbox:
         # keyed the same way: [owner shard, receiving shard].
         self.sync_counts = np.zeros((num_shards, num_shards), dtype=np.int64)
 
-    def record(self, from_shards: np.ndarray, to_shard: int) -> None:
-        """Record forwarded edges (one per entry of ``from_shards``)."""
+    def record(self, from_shards: np.ndarray, to_shards) -> None:
+        """Record forwarded edges, one per (from, to) pair (broadcast)."""
         np.add.at(self.counts, (np.asarray(from_shards, dtype=np.int64),
-                                int(to_shard)), 1)
+                                np.asarray(to_shards, dtype=np.int64)), 1)
 
     def record_sync(self, from_shards: np.ndarray, to_shard: int) -> None:
         """Record synced memory rows (one per entry of ``from_shards``)."""
@@ -268,42 +276,45 @@ class ShardRouter:
         touches vertex state.
         """
         src, dst = batch.src, batch.dst
-        s_src = self.assignment[src]
-        # (num_shards, B) routing matrices, one row per shard.
-        local = s_src == np.arange(self.num_shards)[:, None]
-        held = self._member[:, src] | self._member[:, dst]
-        mail = held & ~local
-        sel = local | held
-        shards = np.flatnonzero(sel.any(axis=1)).tolist()
-        local_edges = local.sum(axis=1).tolist()
+        # (num_shards, B): the holders of either endpoint, which include
+        # the source's owner.  One row-major nonzero lists every (shard,
+        # edge) entry grouped by shard, each shard's edges in stream
+        # order, so a shard's sub-batch is a slice of gathers taken once.
+        rows, edges = (self._member[:, src] | self._member[:, dst]).nonzero()
+        from_shard = self.assignment[src[edges]]
+        is_mail = from_shard != rows
+        mail_to = rows[is_mail]
+        mail_from = from_shard[is_mail]
+        if mailbox is not None:
+            mailbox.record(mail_from, mail_to)
+        counts = np.bincount(rows, minlength=self.num_shards).tolist()
+        mails = np.bincount(mail_to, minlength=self.num_shards).tolist()
+        shards = [s for s, n in enumerate(counts) if n]
+        g_src, g_dst, g_t = src[edges], dst[edges], batch.t[edges]
+        g_eid, g_feat = batch.eid[edges], batch.edge_feat[edges]
+        reads = [_NO_READS] * len(shards)
+        pushes: dict[int, np.ndarray] = {}
         if cache is not None:
-            # One sort of the job's endpoints serves every shard's
-            # read-set (its touched rows, still sorted and unique) and the
-            # write-set; reads run first, against the pre-batch versions.
-            uniq, inverse = np.unique(batch.nodes, return_inverse=True)
+            # The job's sorted endpoint set is the write-set and the union
+            # of the read-sets (row s of ``touched`` is shard s's); reads
+            # run first, against the pre-batch versions.
+            uniq = np.unique(batch.nodes)
             touched = np.zeros((self.num_shards, len(uniq)), dtype=bool)
-            rows, edges = np.nonzero(sel)
-            touched[rows, inverse[0::2][edges]] = True
-            touched[rows, inverse[1::2][edges]] = True
-            reads = [cache.note_reads(shard, uniq[touched[shard]])
-                     for shard in shards]
+            touched[rows, np.searchsorted(uniq, g_src)] = True
+            touched[rows, np.searchsorted(uniq, g_dst)] = True
+            reads = cache.note_reads(shards, uniq, touched[shards])
             pushes = cache.note_writes(uniq, shards)
         out: list[ShardBatch] = []
-        for i, shard in enumerate(shards):
-            take = sel[shard]
-            mail_from = s_src[mail[shard]]
-            if mailbox is not None and len(mail_from):
-                mailbox.record(mail_from, shard)
-            sync: dict = {} if cache is None else dict(
-                sync_pull=reads[i].pulled,
-                sync_push=pushes.get(shard, _NO_ROWS),
-                stale_reads=reads[i].stale_reads,
-                version_lag=reads[i].max_lag)
+        lo = m_lo = 0
+        for shard, read in zip(shards, reads):
+            hi, m_hi = lo + counts[shard], m_lo + mails[shard]
             out.append(ShardBatch(
-                shard=shard,
-                batch=EdgeBatch(src=src[take], dst=dst[take],
-                                t=batch.t[take], eid=batch.eid[take],
-                                edge_feat=batch.edge_feat[take]),
-                local_edges=local_edges[shard],
-                mail_edges=len(mail_from), mail_from=mail_from, **sync))
+                shard, EdgeBatch(g_src[lo:hi], g_dst[lo:hi], g_t[lo:hi],
+                                 g_eid[lo:hi], g_feat[lo:hi]),
+                local_edges=counts[shard] - mails[shard],
+                mail_edges=mails[shard], mail_from=mail_from[m_lo:m_hi],
+                sync_pull=read.pulled,
+                sync_push=pushes.get(shard, _NO_ROWS),
+                stale_reads=read.stale_reads, version_lag=read.max_lag))
+            lo, m_lo = hi, m_hi
         return out

@@ -7,11 +7,14 @@ approx — on seeded random inputs, so a later change cannot trade
 exactness for speed unnoticed.
 """
 
+import copy
 import json
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.datasets import wikipedia_like
 from repro.graph import iter_fixed_size
@@ -315,6 +318,31 @@ def _placement(name, g, shards):
     return policy.place(heat, shards)
 
 
+def _assert_split_matches(got, want, batch):
+    assert [sb.shard for sb in got] == [w["shard"] for w in want]
+    for sb, w in zip(got, want):
+        sel = w["sel"]
+        assert np.array_equal(sb.batch.src, batch.src[sel])
+        assert np.array_equal(sb.batch.dst, batch.dst[sel])
+        assert np.array_equal(sb.batch.t, batch.t[sel])
+        assert np.array_equal(sb.batch.eid, batch.eid[sel])
+        assert np.array_equal(sb.batch.edge_feat, batch.edge_feat[sel])
+        for key in ("local_edges", "mail_edges", "stale_reads",
+                    "version_lag"):
+            assert getattr(sb, key) == w[key], key
+        for key in ("mail_from", "sync_pull", "sync_push"):
+            assert np.array_equal(getattr(sb, key), w[key]), key
+
+
+def _assert_caches_equal(a, b):
+    assert np.array_equal(a.version, b.version)
+    assert np.array_equal(a.mirror_version, b.mirror_version)
+    assert np.array_equal(a._mirror, b._mirror)
+    assert (a.pulled_rows, a.pushed_rows, a.stale_reads,
+            a.max_version_lag) == (b.pulled_rows, b.pushed_rows,
+                                   b.stale_reads, b.max_version_lag)
+
+
 @pytest.mark.parametrize("policy", ["none", "invalidate", "push"])
 @pytest.mark.parametrize("placement", ["hash", "rebalance", "replicate"])
 def test_one_pass_split_matches_the_per_shard_reference(setup, placement,
@@ -335,28 +363,90 @@ def test_one_pass_split_matches_the_per_shard_reference(setup, placement,
                 cache.transfer_ownership(np.unique(moved), old, 2)
         got = routers[0].split(batch, mailboxes[0], cache=caches[0])
         want = _reference_split(routers[1], batch, mailboxes[1], caches[1])
-        assert [sb.shard for sb in got] == [w["shard"] for w in want]
-        for sb, w in zip(got, want):
-            sel = w["sel"]
-            assert np.array_equal(sb.batch.src, batch.src[sel])
-            assert np.array_equal(sb.batch.dst, batch.dst[sel])
-            assert np.array_equal(sb.batch.t, batch.t[sel])
-            assert np.array_equal(sb.batch.eid, batch.eid[sel])
-            assert np.array_equal(sb.batch.edge_feat, batch.edge_feat[sel])
-            for key in ("local_edges", "mail_edges", "stale_reads",
-                        "version_lag"):
-                assert getattr(sb, key) == w[key], key
-            for key in ("mail_from", "sync_pull", "sync_push"):
-                assert np.array_equal(getattr(sb, key), w[key]), key
+        _assert_split_matches(got, want, batch)
     assert np.array_equal(mailboxes[0].counts, mailboxes[1].counts)
-    a, b = caches
-    assert np.array_equal(a.version, b.version)
-    assert np.array_equal(a.mirror_version, b.mirror_version)
-    assert np.array_equal(a._mirror, b._mirror)
-    assert (a.pulled_rows, a.pushed_rows, a.stale_reads,
-            a.max_version_lag) == (b.pulled_rows, b.pushed_rows,
-                                   b.stale_reads, b.max_version_lag)
-    assert a.sync_rows > 0 or policy == "none"
+    _assert_caches_equal(*caches)
+    assert caches[0].sync_rows > 0 or policy == "none"
+
+
+@pytest.fixture(scope="module")
+def placements(setup):
+    g, _ = setup
+    return {(name, shards): _placement(name, g, shards)
+            for name in ("hash", "rebalance", "replicate")
+            for shards in (2, 3, 4)}
+
+
+@st.composite
+def _scenarios(draw):
+    """A placement, a policy and a job stream over a few vertices (so
+    repeats, self-loops and shared mirrors are common), with migrations
+    and failovers interleaved between the jobs."""
+    name = draw(st.sampled_from(["hash", "rebalance", "replicate"]))
+    policy = draw(st.sampled_from(["none", "invalidate", "push"]))
+    shards = draw(st.integers(2, 4))
+    pool = draw(st.lists(st.integers(0, 74), min_size=1, max_size=8,
+                         unique=True))
+    vertex = st.sampled_from(pool)
+    step = st.one_of(
+        st.tuples(st.just("job"), st.lists(st.tuples(vertex, vertex),
+                                           min_size=1, max_size=8)),
+        st.tuples(st.just("migrate"), st.lists(vertex, min_size=1,
+                                               max_size=3),
+                  st.integers(0, shards - 1)),
+        st.tuples(st.just("fail"), st.integers(0, shards - 1)))
+    return name, policy, shards, draw(st.lists(step, min_size=1,
+                                               max_size=12))
+
+
+@settings(max_examples=60, deadline=None)
+@given(scenario=_scenarios())
+def test_one_pass_split_matches_the_reference_on_drawn_streams(
+        setup, placements, scenario):
+    g, _ = setup
+    assert g.num_nodes == 75                # the strategy's vertex range
+    name, policy, shards, steps = scenario
+    sides = []
+    for _ in range(2):
+        router = ShardRouter.from_placement(
+            copy.deepcopy(placements[name, shards]))
+        sides.append((router,
+                      VersionedMemoryCache(router.placement, policy=policy),
+                      CrossShardMailbox(shards)))
+    eid = 0
+    dead: set[int] = set()
+    for kind, *args in steps:
+        if kind == "migrate":
+            v, to = np.unique(args[0]), args[1]
+            for router, cache, _ in sides:
+                keep = [bool(router.placement.replicas.get(int(x)))
+                        for x in v]
+                old = router.migrate(v, to)
+                cache.transfer_ownership(v, old, to, keep_holder=keep)
+        elif kind == "fail":
+            if args[0] in dead or len(dead) + 1 >= shards:
+                continue
+            dead.add(args[0])
+            for router, cache, _ in sides:
+                _, rebuilt = router.fail_over(args[0])
+                cache.fail_over(args[0], rebuilt,
+                                router.assignment[rebuilt])
+        else:
+            src, dst = np.array(args[0], dtype=np.int64).T
+            n = len(src)
+            batch = EdgeBatch(src=src, dst=dst,
+                              t=np.arange(eid, eid + n, dtype=float),
+                              eid=np.arange(eid, eid + n),
+                              edge_feat=np.arange(2.0 * eid,
+                                                  2.0 * (eid + n)
+                                                  ).reshape(n, 2))
+            eid += n
+            (ra, ca, ma), (rb, cb, mb) = sides
+            _assert_split_matches(ra.split(batch, ma, cache=ca),
+                                  _reference_split(rb, batch, mb, cb),
+                                  batch)
+    assert np.array_equal(sides[0][2].counts, sides[1][2].counts)
+    _assert_caches_equal(sides[0][1], sides[1][1])
 
 
 def test_split_without_cache_leaves_sync_fields_empty(setup):

@@ -16,9 +16,11 @@ from repro.datasets import wikipedia_like
 from repro.graph import iter_fixed_size
 from repro.models import ModelConfig, TGNN
 from repro.pipeline import LinearCostBackend
-from repro.serving import (MEMSYNC_POLICIES, Placement, ReplicatedReadMostly,
-                           ServingEngine, ShardedRuntime, StaticHashPlacement,
+from repro.serving import (MEMSYNC_POLICIES, HotColdHybrid, Placement,
+                           ReplicatedReadMostly, ServingEngine,
+                           ShardedRuntime, StaticHashPlacement,
                            VersionedMemoryCache, VertexHeat)
+from repro.serving.events import ServiceBeginEvent
 
 CFG = ModelConfig(memory_dim=8, time_dim=6, embed_dim=8, edge_dim=172,
                   num_neighbors=4, simplified_attention=True,
@@ -40,7 +42,9 @@ def two_shard_placement():
 class TestVersionedMemoryCache:
     def test_owner_write_bumps_version_once_per_batch(self):
         c = VersionedMemoryCache(two_shard_placement(), policy="none")
-        c.note_writes(np.array([0, 2, 2]), present_shards=[0, 1])
+        # A batch touching vertex 2 twice writes it once: like ``split``,
+        # feed the sorted unique endpoint set.
+        c.note_writes(np.unique([0, 2, 2]), present_shards=[0, 1])
         assert c.version.tolist() == [1, 0, 1, 0]
         c.note_writes(np.array([2]), present_shards=[1])
         assert c.version.tolist() == [1, 0, 2, 0]
@@ -48,23 +52,23 @@ class TestVersionedMemoryCache:
     def test_holders_are_never_stale(self):
         c = VersionedMemoryCache(two_shard_placement(), policy="none")
         c.note_writes(np.array([0]), present_shards=[0])
-        out = c.note_reads(0, np.array([0, 1]))    # shard 0 owns both
+        out = c.note_reads([0], np.array([0, 1]))[0]    # shard 0 owns both
         assert out.stale_reads == 0 and not len(out.pulled)
 
     def test_never_written_rows_are_not_stale(self):
         c = VersionedMemoryCache(two_shard_placement(), policy="invalidate")
-        out = c.note_reads(1, np.array([0, 1]))
+        out = c.note_reads([1], np.array([0, 1]))[0]
         assert not len(out.pulled) and out.stale_reads == 0
 
     def test_none_counts_staleness_and_never_repairs(self):
         c = VersionedMemoryCache(two_shard_placement(), policy="none")
         c.note_writes(np.array([0]), present_shards=[0, 1])
         c.note_writes(np.array([0]), present_shards=[0, 1])
-        out = c.note_reads(1, np.array([0]))
+        out = c.note_reads([1], np.array([0]))[0]
         assert out.stale_reads == 1 and out.max_lag == 2
         assert not len(out.pulled)
         # Next read is still stale — mirrors never refresh under none.
-        out = c.note_reads(1, np.array([0]))
+        out = c.note_reads([1], np.array([0]))[0]
         assert out.stale_reads == 1
         assert c.stale_reads == 2 and c.max_version_lag == 2
         assert c.sync_rows == 0
@@ -72,12 +76,12 @@ class TestVersionedMemoryCache:
     def test_invalidate_pulls_once_until_next_write(self):
         c = VersionedMemoryCache(two_shard_placement(), policy="invalidate")
         c.note_writes(np.array([0]), present_shards=[0])
-        out = c.note_reads(1, np.array([0]))
+        out = c.note_reads([1], np.array([0]))[0]
         assert out.pulled.tolist() == [0] and out.stale_reads == 0
         # Repaired: a re-read is free until the owner writes again.
-        assert not len(c.note_reads(1, np.array([0])).pulled)
+        assert not len(c.note_reads([1], np.array([0]))[0].pulled)
         c.note_writes(np.array([0]), present_shards=[0])
-        assert c.note_reads(1, np.array([0])).pulled.tolist() == [0]
+        assert c.note_reads([1], np.array([0]))[0].pulled.tolist() == [0]
         assert c.pulled_rows == 2 and c.pushed_rows == 0
 
     def test_push_forwards_to_present_mirrors_only(self):
@@ -85,25 +89,26 @@ class TestVersionedMemoryCache:
         # No mirror yet: the first write pushes nothing anywhere.
         assert c.note_writes(np.array([0]), present_shards=[0, 1]) == {}
         # Cold read pulls and subscribes the mirror.
-        assert c.note_reads(1, np.array([0])).pulled.tolist() == [0]
+        assert c.note_reads([1], np.array([0]))[0].pulled.tolist() == [0]
         # Now a write with the mirror present delivers the row eagerly...
         pushes = c.note_writes(np.array([0]), present_shards=[0, 1])
         assert pushes[1].tolist() == [0]
-        assert not len(c.note_reads(1, np.array([0])).pulled)
+        assert not len(c.note_reads([1], np.array([0]))[0].pulled)
         # ...but an absent mirror lags and repairs via the pull fallback.
         assert c.note_writes(np.array([0]), present_shards=[0]) == {}
-        assert c.note_reads(1, np.array([0])).pulled.tolist() == [0]
+        assert c.note_reads([1], np.array([0]))[0].pulled.tolist() == [0]
         assert c.pushed_rows == 1 and c.pulled_rows == 2
 
     def test_push_delivers_each_written_row_once(self):
         c = VersionedMemoryCache(two_shard_placement(), policy="push")
         c.note_writes(np.array([0, 1]), present_shards=[0])
         # Shard 1 pulls both rows and so becomes a mirror of each.
-        assert c.note_reads(1, np.array([0, 1])).pulled.tolist() == [0, 1]
+        out = c.note_reads([1], np.array([0, 1]))[0]
+        assert out.pulled.tolist() == [0, 1]
         pushes = c.note_writes(np.array([0, 1, 2]), present_shards=[0, 1])
         assert list(pushes) == [1] and pushes[1].tolist() == [0, 1]
         assert c.pushed_rows == 2 and c.pulled_rows == 2
-        assert not len(c.note_reads(1, np.array([0, 1])).pulled)
+        assert not len(c.note_reads([1], np.array([0, 1]))[0].pulled)
 
     def test_push_never_targets_holders(self):
         heat_n = 6
@@ -113,7 +118,7 @@ class TestVersionedMemoryCache:
         # Vertex 0 is held by both shards: shard 1 is a replica, not a
         # mirror, so nothing is ever pulled or pushed for it.
         c.note_writes(np.array([0]), present_shards=[0, 1])
-        assert not len(c.note_reads(1, np.array([0])).pulled)
+        assert not len(c.note_reads([1], np.array([0]))[0].pulled)
         assert c.note_writes(np.array([0]), present_shards=[0, 1]) == {}
         assert c.sync_rows == 0
 
@@ -257,10 +262,43 @@ class TestEngineMemsync:
     def run(self, engine, g):
         return engine.run(g, window_s=3600.0, speedup=2.0, num_streams=2)
 
+    def assert_traffic_is_the_served_sub_jobs(self, engine, g, **run_kw):
+        """Run traced with ``split`` observed; the report's mail and sync
+        totals must be those of the served sub-jobs of windows no shard
+        dropped.  Returns the report."""
+        routed = []
+        split = engine.router.split
+
+        def observe(*args, **kwargs):
+            routed.append(split(*args, **kwargs))
+            return routed[-1]
+
+        engine.router.split = observe
+        rep = engine.run(g, window_s=3600.0, num_streams=2, trace=True,
+                         **run_kw)
+        begun = {(ev.group, ev.index) for ev in engine.last_event_trace
+                 if isinstance(ev, ServiceBeginEvent)}
+        position = [0] * engine.num_shards
+        mail = sync = 0
+        for subs in routed:
+            keys = []
+            for sb in subs:
+                keys.append((sb.shard, position[sb.shard]))
+                position[sb.shard] += 1
+            if all(k in begun for k in keys):
+                mail += sum(sb.mail_edges for sb in subs)
+                sync += sum(len(sb.sync_pull) + len(sb.sync_push)
+                            for sb in subs)
+        assert rep.cross_shard_edges == mail \
+            == sum(s.mail_in_edges for s in rep.shard_stats)
+        assert rep.sync_edges == sync
+        return rep
+
     def test_report_fields_per_policy(self):
         g = wikipedia_like(num_edges=600, num_users=80, num_items=20)
-        reps = {p: self.run(self.engine(g, memsync=p), g)
-                for p in MEMSYNC_POLICIES}
+        reps = {p: self.assert_traffic_is_the_served_sub_jobs(
+            self.engine(g, memsync=p), g, speedup=2.0)
+            for p in MEMSYNC_POLICIES}
         none, inval, push = (reps[p] for p in MEMSYNC_POLICIES)
         assert none.memsync == "none"
         assert none.sync_edges == 0
@@ -274,6 +312,16 @@ class TestEngineMemsync:
             for key in ("memsync", "sync_edges", "stale_reads",
                         "max_version_lag"):
                 assert key in d
+        # Bufferless queues under overload drop windows, whose surviving
+        # sub-jobs were served but must not count; the hybrid pool
+        # pseudo-shard is routed like any other shard.
+        hybrid = dict(placement=HotColdHybrid(hot_top_k=6).place(
+            VertexHeat.from_graph(g), 4), topology="hybrid", pool_servers=2)
+        for kw in ({}, hybrid):
+            rep = self.assert_traffic_is_the_served_sub_jobs(
+                self.engine(g, memsync="push", **kw), g, speedup=1e6,
+                queue_capacity=0)
+            assert rep.dropped_windows > 0 and rep.sync_edges > 0
 
     def test_none_is_byte_identical_to_default_engine(self):
         """Acceptance: --memsync none reproduces the no-memsync report."""

@@ -181,7 +181,7 @@ class TestCacheTransferOwnership:
         c.note_writes(np.array([0]), present_shards=[0])
         c.transfer_ownership([0], [0], 1)
         # The new owner received current rows: nothing to pull.
-        assert not len(c.note_reads(1, np.array([0])).pulled)
+        assert not len(c.note_reads([1], np.array([0]))[0].pulled)
         # Version history survived the handoff: the next write bumps the
         # same counter.
         assert c.version[0] == 2
@@ -189,7 +189,7 @@ class TestCacheTransferOwnership:
         assert c.version[0] == 3
         # The old owner is now a *current* mirror; under push it was
         # present at the write above, so it stays current.
-        assert not len(c.note_reads(0, np.array([0])).pulled)
+        assert not len(c.note_reads([0], np.array([0]))[0].pulled)
 
     def test_old_owner_ages_like_any_mirror(self):
         c = VersionedMemoryCache(self.placement(), policy="invalidate")
@@ -198,7 +198,7 @@ class TestCacheTransferOwnership:
         # A write the old owner did not see makes its copy stale: the
         # next read repairs via the ordinary pull path.
         c.note_writes(np.array([0]), present_shards=[1])
-        assert c.note_reads(0, np.array([0])).pulled.tolist() == [0]
+        assert c.note_reads([0], np.array([0]))[0].pulled.tolist() == [0]
 
     def test_degenerate_self_transfer_keeps_holder(self):
         c = VersionedMemoryCache(self.placement(), policy="push")
